@@ -189,9 +189,10 @@ def cmd_gauge(args) -> int:
     elif args.action == "embed":
         p = _load_potential(args.potential, g, 2)
         ab, st = ab_statistics_split(p, g)
-        pn = build_n_particle(st, ab_part_as_omega1(ab), g, args.n)
+        c = build_complex(g, args.n)
+        pn = build_n_particle(st, ab_part_as_omega1(ab), c)
         report["potential"] = potential_to_json(pn)
-        report["topological"] = is_topological(pn, build_complex(g, args.n))
+        report["topological"] = is_topological(pn, c)
     elif args.action == "solve":
         c = build_complex(g, args.n)
         targets = []

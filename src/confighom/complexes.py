@@ -41,8 +41,7 @@ class CellComplex:
     cells2: list[Cell2]
     index0: dict[Cell0, int]
     index1: dict[Cell1, int]
-    # sparse triplet lists (row, col, value); values are Python ints
-    boundary1: list[tuple[int, int, int]]
+    # sparse triplet list (row, col, value); values are Python ints
     boundary2: list[tuple[int, int, int]]
     _homology_cache: object = field(default=None, repr=False, compare=False)
 
@@ -119,13 +118,7 @@ def build_complex(g: Graph, n: int) -> CellComplex:
                 cells2.append((spec, e1, e2))
         cells2.sort()
 
-    cx = CellComplex(g, n, cells0, cells1, cells2, index0, index1, [], [])
-
-    boundary1 = []
-    for j, cell in enumerate(cells1):
-        for c0, val in cx.boundary1_chain(cell).items():
-            boundary1.append((index0[c0], j, val))
-    cx.boundary1 = boundary1
+    cx = CellComplex(g, n, cells0, cells1, cells2, index0, index1, [])
 
     boundary2 = []
     for j, cell in enumerate(cells2):

@@ -12,13 +12,18 @@ where N1 sums a binomial count over cut vertices, N2 counts independent
 star exchanges at cut pairs, and N3/N3' count planar/nonplanar 3-connected
 components.  This is the closed-form side of the predictor-vs-oracle checks;
 it never touches the cell complex.
+
+Both kinds of cut come from networkx articulation points: a vertex is a cut
+vertex when it lies in two or more biconnected blocks, and {x, y} separates a
+2-connected graph exactly when y is an articulation point of the graph minus
+x.  Planarity is networkx's planarity test.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from collections import Counter
+from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import Iterable, Optional
 
 import networkx as nx
 
@@ -65,38 +70,48 @@ class Prediction:
 # ---------------------------------------------------------------------------
 # basic connectivity
 
-def _components(vertices: set[int], adj: dict[int, list[int]],
-                removed: set[int]) -> list[set[int]]:
-    left = set(vertices) - removed
-    comps = []
-    while left:
-        s = min(left)
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in left and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(seen)
-        left -= seen
-    return comps
+def _nx_graph(vertices: Iterable[int],
+              edges: Iterable[tuple[int, int]]) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(vertices)
+    nxg.add_edges_from(edges)
+    return nxg
+
+
+def articulation_points(nxg: nx.Graph) -> dict[int, int]:
+    """Articulation points of nxg, each with the number of pieces its
+    removal splits its connected component into.
+
+    A vertex lying in k >= 2 biconnected blocks is a cut vertex whose removal
+    leaves exactly k components, so one pass over the blocks gives both.
+    """
+    blocks = Counter(v for block in nx.biconnected_components(nxg)
+                     for v in block)
+    return {v: k for v, k in blocks.items() if k >= 2}
+
+
+def _separating_partners(nxg: nx.Graph, x: int) -> dict[int, int]:
+    """Vertices y > x such that {x, y} separates the 2-connected graph nxg,
+    each with the number of components of nxg - {x, y}.
+
+    {x, y} separates a 2-connected graph exactly when y is an articulation
+    point of nxg - x (Hopcroft and Tarjan 1973).  x is removed in place and
+    put back, which is cheaper than copying the graph.
+    """
+    neighbors = list(nxg[x])
+    nxg.remove_node(x)
+    cuts = articulation_points(nxg)
+    nxg.add_edges_from((x, y) for y in neighbors)
+    return {y: k for y, k in cuts.items() if y > x}
 
 
 def cut_vertices(g: Graph) -> list[CutRecord]:
     """Articulation vertices with their component count mu and degree nu."""
     if not is_connected(g):
         raise GraphError("graph not connected")
-    adj = g.adjacency()
-    verts = set(range(g.vertex_count))
     deg = g.degrees()
-    out = []
-    for v in sorted(verts):
-        comps = _components(verts, adj, {v})
-        if len(comps) >= 2:
-            out.append(CutRecord("vertex", (v,), len(comps), deg[v]))
-    return out
+    cuts = articulation_points(_nx_graph(range(g.vertex_count), g.edges))
+    return [CutRecord("vertex", (v,), mu, deg[v]) for v, mu in sorted(cuts.items())]
 
 
 def two_separations(g: Graph) -> list[CutRecord]:
@@ -108,21 +123,11 @@ def two_separations(g: Graph) -> list[CutRecord]:
     """
     if cut_vertices(g) or g.vertex_count < 3:
         raise GraphError("graph not 2-connected")
-    return _two_separations_multi(set(range(g.vertex_count)), list(g.edges))
-
-
-def _two_separations_multi(vertices: set[int],
-                           edges: list[tuple[int, int]]) -> list[CutRecord]:
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+    nxg = _nx_graph(range(g.vertex_count), g.edges)
     out = []
-    for x, y in combinations(sorted(vertices), 2):
-        comps = _components(vertices, adj, {x, y})
-        if len(comps) >= 2:
-            direct = sum(1 for e in edges if e == (min(x, y), max(x, y)))
-            out.append(CutRecord("pair", (x, y), len(comps) + direct))
+    for x in range(g.vertex_count):
+        for y, k in sorted(_separating_partners(nxg, x).items()):
+            out.append(CutRecord("pair", (x, y), k + g.edges.count((x, y))))
     return out
 
 
@@ -138,11 +143,8 @@ def connectivity_level(g: Graph) -> int:
 
 
 def is_planar(g: Graph) -> bool:
-    nxg = nx.MultiGraph()
-    nxg.add_nodes_from(range(g.vertex_count))
-    nxg.add_edges_from(g.edges)
-    ok, _ = nx.check_planarity(nxg)
-    return ok
+    """Planarity of g; parallel edges never change it."""
+    return nx.is_planar(_nx_graph(range(g.vertex_count), g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +152,7 @@ def is_planar(g: Graph) -> bool:
 
 def _biconnected_blocks(g: Graph) -> list[list[tuple[int, int]]]:
     """Edge lists of the biconnected blocks, canonically ordered."""
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.vertex_count))
-    nxg.add_edges_from(g.edges)
+    nxg = _nx_graph(range(g.vertex_count), g.edges)
     blocks = [sorted((min(u, v), max(u, v)) for u, v in comp)
               for comp in nx.biconnected_component_edges(nxg)]
     return sorted(blocks)
@@ -162,75 +162,43 @@ def _classify(vertices: list[int], edges: list[tuple[int, int]],
               virtual: list[tuple[int, int]]) -> MarkedComponent:
     local = {v: i for i, v in enumerate(vertices)}
     lg = Graph(len(vertices), tuple((local[u], local[v]) for u, v in edges))
-    deg = lg.degrees()
-    if all(d == 2 for d in deg):
+    if all(d == 2 for d in lg.degrees()):
         kind = "topological-cycle"
     else:
-        simp = _suppress_degree2(lg)
-        kind = "planar-3-connected" if is_planar(simp) else "nonplanar-3-connected"
+        kind = "planar-3-connected" if is_planar(lg) else "nonplanar-3-connected"
     return MarkedComponent(lg, tuple(vertices), kind, tuple(virtual))
-
-
-def _suppress_degree2(g: Graph) -> Graph:
-    """Suppress degree-2 vertices; result may be a multigraph."""
-    edges = [list(e) for e in g.edges]
-    deg = g.degrees()
-    alive = [d != 2 for d in deg]
-    for v in range(g.vertex_count):
-        if alive[v]:
-            continue
-        inc = [e for e in edges if v in e]
-        if len(inc) != 2 or inc[0] is inc[1]:
-            alive[v] = True  # degree-2 via a doubled edge: leave in place
-            continue
-        e1, e2 = inc
-        a = e1[0] if e1[1] == v else e1[1]
-        b = e2[0] if e2[1] == v else e2[1]
-        if a == b == v:
-            alive[v] = True
-            continue
-        edges.remove(e1)
-        edges.remove(e2)
-        edges.append([a, b])
-    keep = sorted({u for e in edges for u in e})
-    local = {u: i for i, u in enumerate(keep)}
-    return Graph(len(keep), tuple((local[a], local[b]) for a, b in edges))
 
 
 def _split_two(vertices: list[int], edges: list[tuple[int, int]],
                virtual: list[tuple[int, int]],
                cuts: list[CutRecord], comps: list[MarkedComponent]):
-    """Recursively split a 2-connected multigraph piece at 2-separations."""
-    vset = set(vertices)
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    deg = {v: len(adj[v]) for v in vertices}
-    if all(d == 2 for d in deg.values()):
+    """Recursively split a 2-connected multigraph piece at 2-separations.
+
+    The piece splits at its lexicographically first separating pair.
+    """
+    if all(d == 2 for d in Counter(v for e in edges for v in e).values()):
         comps.append(_classify(vertices, edges, virtual))
         return
-    best = None
-    for x, y in combinations(sorted(vertices), 2):
-        pieces = _components(vset, adj, {x, y})
-        if len(pieces) >= 2:
-            best = (x, y, pieces)
+    nxg = _nx_graph(vertices, edges)
+    for x in vertices:
+        partners = _separating_partners(nxg, x)
+        if partners:
+            y = min(partners)
             break
-    if best is None:
+    else:
         comps.append(_classify(vertices, edges, virtual))
         return
-    x, y, pieces = best
-    direct = [e for e in edges if e == (min(x, y), max(x, y))]
-    mu = len(pieces) + len(direct)
-    cuts.append(CutRecord("pair", (x, y), mu))
-    ve = (min(x, y), max(x, y))
-    for piece in sorted(pieces, key=min):
-        pedges = [e for e in edges
-                  if (e[0] in piece or e[1] in piece)]
+    pieces = sorted(nx.connected_components(nxg.subgraph(
+        v for v in vertices if v not in (x, y))), key=min)
+    ve = (x, y)
+    direct = [e for e in edges if e == ve]
+    cuts.append(CutRecord("pair", ve, len(pieces) + len(direct)))
+    for piece in pieces:
+        pedges = [e for e in edges if e[0] in piece or e[1] in piece]
         pverts = sorted(piece | {x, y})
         _split_two(pverts, pedges + [ve], virtual + [ve], cuts, comps)
     for e in direct:
-        comps.append(_classify(sorted({x, y}), [e, ve], virtual + [ve]))
+        comps.append(_classify([x, y], [e, ve], virtual + [ve]))
 
 
 def decompose(g: Graph) -> tuple[list[MarkedComponent], list[CutRecord]]:
@@ -238,7 +206,7 @@ def decompose(g: Graph) -> tuple[list[MarkedComponent], list[CutRecord]]:
 
     Components that are trees (single edges after a vertex cut) are dropped.
     The bookkeeping identity sum(beta1(component)) = beta1(g) + #pair-cuts is
-    asserted.
+    checked.
     """
     if not g.is_simple():
         raise GraphError("simple graph required")
@@ -257,7 +225,8 @@ def decompose(g: Graph) -> tuple[list[MarkedComponent], list[CutRecord]]:
 
     total = sum(betti1(comp.graph) for comp in comps)
     n_pair_cuts = sum(1 for c in cuts if c.kind == "pair")
-    assert total == betti1(g) + n_pair_cuts, "decomposition bookkeeping failed"
+    if total != betti1(g) + n_pair_cuts:
+        raise GraphError("decomposition bookkeeping failed")
     return comps, cuts
 
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .complexes import (Cell1, CellComplex, boundary2_chain, build_complex,
                         cell1)
 from .graphs import Graph, subdivide_edge
-from .homology import (H1Coordinates, IntegerMatrix, _h1_data, apply_row_ops,
-                       homology_coordinates, matmul, nontree_classes,
+from .homology import (_h1_data, class_matrix, nontree_classes,
                        smith_normal_form)
 
 Phase = Fraction
@@ -208,7 +207,8 @@ def lift_subdivision(pbar: GaugePotential,
                 coeff = bco
             else:
                 rest += bco * vals.get(bcell, Fraction(0))
-        assert coeff in (1, -1)
+        if coeff not in (1, -1):
+            raise GaugeError("lift inconsistency")
         if rest:
             vals[target] = -rest / coeff
         else:
@@ -257,13 +257,15 @@ def lift_to_subdivision(pbar: GaugePotential,
 
 def build_n_particle(stat2: GaugePotential,
                      omega1: Mapping[tuple[int, int], Fraction],
-                     g: Graph, n: int) -> GaugePotential:
-    """Assemble an n-particle potential from one-particle and statistics data.
+                     c: CellComplex) -> GaugePotential:
+    """Assemble a potential on the n-particle complex c from one-particle and
+    statistics data.
 
     The phase of a move i -> j is omega1(i -> j) plus the two-particle
     statistics phase of every spectator.  The output is topological whenever
-    stat2 is; that is re-checked by callers via is_topological.
+    stat2 is; that is re-checked by callers via is_topological on c.
     """
+    g = c.graph
     if stat2.graph.edges != g.edges or stat2.n != 2:
         raise GaugeError("statistics potential must be two-particle on g")
     if not is_pure_statistics(stat2, g):
@@ -275,7 +277,6 @@ def build_n_particle(stat2: GaugePotential,
         if e != (min(e), max(e)) or e not in edges:
             raise GaugeError("omega1 keyed by canonical graph edges")
 
-    c = build_complex(g, n)
     vals: dict[Cell1, Fraction] = {}
     for (spec, (u, v)) in c.cells1:
         total = Fraction(omega1.get((u, v), 0))
@@ -283,7 +284,7 @@ def build_n_particle(stat2: GaugePotential,
             total += stat2.value((r,), u, v)
         if total:
             vals[(spec, (u, v))] = total
-    return GaugePotential(n, g, vals)
+    return GaugePotential(c.n, g, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -325,40 +326,25 @@ def solve_from_fluxes(c: CellComplex,
     matches the target phase; torsion relations n_i * y_i = 0 mod 1 are part
     of the system.  Raises "unrealizable phase" when the targets violate them.
     """
-    data = _h1_data(c, log=True)
-    k = len(data.free_rows)
-    moduli = data.torsion
-    l = len(moduli)
-
-    rows: list[list[int]] = []
-    b: list[Fraction] = []
-    for z, target in targets:
-        coords = homology_coordinates(c, z)
-        rows.append(list(coords.free) + list(coords.torsion))
-        b.append(Fraction(target))
-    for i, d in enumerate(moduli):
-        row = [0] * (k + l)
-        row[k + i] = d
-        rows.append(row)
-        b.append(Fraction(0))
-
-    entries = tuple((i, j, rows[i][j]) for i in range(len(rows))
-                    for j in range(k + l) if rows[i][j])
-    m = IntegerMatrix(len(rows), k + l, entries)
+    m = class_matrix(c, [z for z, _ in targets])
+    l = m.rows - len(targets)           # one relation row per torsion factor
+    k = m.cols - l
+    b = [Fraction(t) for _, t in targets] + [Fraction(0)] * l
     factors, U, V = smith_normal_form(m, transforms=True)
     ub = [sum(Fraction(U[i][j]) * b[j] for j in range(len(b)))
           for i in range(len(b))]
-    w = [Fraction(0)] * (k + l)
+    w = [Fraction(0)] * m.cols
     for i, d in enumerate(factors):
         w[i] = ub[i] / d
     for i in range(len(factors), len(b)):
         if not _is_integer(ub[i]):
             raise GaugeError("unrealizable phase")
-    y = [sum(Fraction(V[i][j]) * w[j] for j in range(k + l))
-         for i in range(k + l)]
+    y = [sum(Fraction(V[i][j]) * w[j] for j in range(m.cols))
+         for i in range(m.cols)]
     p = potential_from_class_values(c, y[:k], y[k:])
     for z, target in targets:
-        assert _is_integer(flux(p, _as_cell_chain(c, z)) - target)
+        if not _is_integer(flux(p, _as_cell_chain(c, z)) - target):
+            raise GaugeError("solved potential misses a target flux")
     return p
 
 

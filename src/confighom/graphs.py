@@ -7,9 +7,8 @@ and connected.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 
 class GraphError(ValueError):
@@ -198,8 +197,9 @@ def sufficiently_subdivide(g: Graph, n: int) -> tuple[Graph, dict[tuple[int, int
     """Subdivide g until it is sufficiently subdivided for n particles.
 
     Inserts n-2 vertices into every original edge (ids appended in edge
-    order), then patches any still-short cycle.  Returns the new graph and a
-    map from each new edge to the original edge it came from.
+    order); every cycle of a simple graph then has at least 3(n-1) >= n+1
+    edges, which is checked.  Returns the new graph and a map from each new
+    edge to the original edge it came from.
     """
     if not g.is_simple():
         raise GraphError("simple graph required")
@@ -221,45 +221,9 @@ def sufficiently_subdivide(g: Graph, n: int) -> tuple[Graph, dict[tuple[int, int
             edges.append(e)
             provenance[e] = (u, v)
     out = Graph(nv, tuple(edges), name=g.name)
-
-    # cycle patching; unreachable for simple inputs (3(n-1) >= n+1 for n >= 2)
-    # but kept so the postcondition is enforced rather than assumed
-    while not is_sufficiently_subdivided(out, n):
-        gr = girth(out)
-        assert gr is not None and gr < n + 1
-        edge = _find_short_cycle_edge(out, gr)
-        orig = provenance[edge]
-        u, v = edge
-        new_edges = list(out.edges)
-        new_edges.remove(edge)
-        w = out.vertex_count
-        e1, e2 = _canon_edge(u, w), _canon_edge(w, v)
-        new_edges.extend([e1, e2])
-        del provenance[edge]
-        provenance[e1] = orig
-        provenance[e2] = orig
-        out = Graph(w + 1, tuple(new_edges), name=g.name)
+    if not is_sufficiently_subdivided(out, n):
+        raise GraphError("subdivision is not sufficient")
     return out, provenance
-
-
-def _find_short_cycle_edge(g: Graph, target: int) -> tuple[int, int]:
-    adj = g.adjacency()
-    for s in range(g.vertex_count):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u] and dist[u] + dist[w] + 1 == target:
-                    return _canon_edge(u, w)
-    raise AssertionError("no cycle of the reported girth found")
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +303,3 @@ def graph_from_json(obj: Mapping, require_simple_connected: bool = True) -> Grap
         if not is_connected(g):
             raise GraphError("graph not connected")
     return g
-
-
-def load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))

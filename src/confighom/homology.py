@@ -181,7 +181,8 @@ class _Eliminator:
 
     def _eliminate_unit(self, r: int, c: int):
         v = self.row[r][c]
-        assert abs(v) == 1
+        if abs(v) != 1:
+            raise HomologyError("unit pivot expected")
         if v < 0:
             self._row_neg(r)
             v = 1
@@ -314,7 +315,8 @@ class _Eliminator:
         # but sort defensively and verify
         factors = [1] * ones + rest
         for a, b in zip(factors, factors[1:]):
-            assert b % a == 0, "invariant factors do not form a chain"
+            if b % a:
+                raise HomologyError("invariant factors do not form a chain")
         return factors
 
 
@@ -331,9 +333,6 @@ def apply_row_ops(ops: Sequence[tuple], x: dict[int, int]) -> dict[int, int]:
         elif op[0] == "neg":
             if op[1] in x:
                 x[op[1]] = -x[op[1]]
-        else:  # swap
-            _, i, j = op
-            x[i], x[j] = x.get(j, 0), x.get(i, 0)
     return x
 
 
@@ -438,7 +437,8 @@ class _H1Data:
         )
         self.torsion = tuple(d for _, d in self.torsion_pivots)
         self.rank = (n1 - self.rank_d1) - self.rank_d2
-        assert self.rank == len(self.free_rows)
+        if self.rank != len(self.free_rows):
+            raise HomologyError("rank identity failed")
 
 
 def _h1_data(c: CellComplex, log: bool = False) -> _H1Data:
@@ -519,3 +519,22 @@ def homology_coordinates(c: CellComplex, z: Chain1) -> H1Coordinates:
     free = tuple(x.get(r, 0) for r in data.free_rows)
     torsion = tuple(x.get(r, 0) % d for r, d in data.torsion_pivots)
     return H1Coordinates(free, torsion, data.torsion)
+
+
+def class_matrix(c: CellComplex, chains: Sequence[Chain1]) -> IntegerMatrix:
+    """The class coordinates of cycles stacked over the torsion relations.
+
+    Row i holds the free then torsion coordinates of chains[i]; one more row
+    d * e_(k+j) follows for the j-th torsion factor d, where k is the free
+    rank.  The integer row span is then the subgroup of H1 the chains
+    generate, written in Z^k x Z^l.
+    """
+    data = _h1_data(c, log=True)
+    k, l, count = data.rank, len(data.torsion), len(chains)
+    entries = []
+    for i, z in enumerate(chains):
+        coords = homology_coordinates(c, z)
+        entries += [(i, j, v) for j, v in enumerate(coords.free + coords.torsion)
+                    if v]
+    entries += [(count + i, k + i, d) for i, d in enumerate(data.torsion)]
+    return IntegerMatrix(count + l, k + l, tuple(entries))

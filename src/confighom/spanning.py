@@ -20,10 +20,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
+import networkx as nx
+
 from .complexes import Cell1, CellComplex, cell1
+from .connectivity import articulation_points
 from .graphs import Graph, is_sufficiently_subdivided
-from .homology import (HomologyError, IntegerMatrix, _h1_data,
-                       homology_coordinates, is_cycle, smith_normal_form)
+from .homology import IntegerMatrix, class_matrix, smith_normal_form
 
 
 class SpanningError(ValueError):
@@ -43,9 +45,6 @@ class RootedOrderedTree:
     tree_edges: frozenset[tuple[int, int]]
     deleted_edges: tuple[tuple[int, int], ...]
 
-    def vertex_of_label(self, lab: int) -> int:
-        return self.label.index(lab)
-
 
 def rooted_ordered_tree(g: Graph, root: Optional[int] = None,
                         embedding: Optional[Mapping[int, Sequence[int]]] = None,
@@ -58,7 +57,9 @@ def rooted_ordered_tree(g: Graph, root: Optional[int] = None,
     each vertex the children are visited starting just after the entry edge
     in cyclic order, which makes preorder labels trace the tree boundary.
     Edges listed in deleted_edges are forced out of the tree; otherwise the
-    DFS decides which edges close cycles.
+    DFS decides which edges close cycles.  The default root is the smallest
+    leaf, or, without leaves, the smallest vertex that is not a cut vertex,
+    so that the root has degree 1 in the DFS tree.
     """
     if not g.is_simple():
         raise SpanningError("simple graph required")
@@ -76,7 +77,11 @@ def rooted_ordered_tree(g: Graph, root: Optional[int] = None,
 
     if root is None:
         leaves = [v for v in range(V) if len(adj[v]) == 1]
-        root = min(leaves) if leaves else 0
+        if leaves:
+            root = min(leaves)
+        else:
+            cuts = articulation_points(nx.Graph(g.edges))
+            root = min(v for v in range(V) if v not in cuts)
 
     forced = set()
     if deleted_edges is not None:
@@ -90,16 +95,13 @@ def rooted_ordered_tree(g: Graph, root: Optional[int] = None,
     parent = list(range(V))
     tree_edges: set[tuple[int, int]] = set()
     found_deleted: set[tuple[int, int]] = set()
-    counter = 0
-
-    def visit(v: int, entry: Optional[int]) -> None:
-        nonlocal counter
-        counter += 1
-        label[v] = counter
-        nbrs = order[v]
-        if entry is not None:
-            i = nbrs.index(entry)
-            nbrs = nbrs[i + 1:] + nbrs[:i]
+    counter = 1
+    label[root] = counter
+    # each stack entry holds a vertex and its not yet visited neighbors, which
+    # start just after the entry edge in cyclic order
+    stack = [(root, iter(order[root]))]
+    while stack:
+        v, nbrs = stack[-1]
         for w in nbrs:
             e = _canon(v, w)
             if e in forced:
@@ -110,9 +112,13 @@ def rooted_ordered_tree(g: Graph, root: Optional[int] = None,
                 continue
             parent[w] = v
             tree_edges.add(e)
-            visit(w, v)
-
-    visit(root, None)
+            counter += 1
+            label[w] = counter
+            i = order[w].index(v)
+            stack.append((w, iter(order[w][i + 1:] + order[w][:i])))
+            break
+        else:
+            stack.pop()
     if counter != V:
         raise SpanningError("deleted edges disconnect the graph")
     if deleted_edges is not None and found_deleted:
@@ -310,33 +316,13 @@ def verify_spanning(cycles: Sequence[GeneratorCycle],
     together with the torsion relations, is all of Z^k x Z^l; equivalently
     the stacked matrix has k+l unit invariant factors.
     """
-    data = _h1_data(c)
-    k, moduli = data.rank, data.torsion
-    l = len(moduli)
-    rows: list[list[int]] = []
-    for cyc in cycles:
-        if not is_cycle(c, cyc.chain):
-            raise HomologyError("spanning candidate is not a cycle")
-        coords = homology_coordinates(c, cyc.chain)
-        rows.append(list(coords.free) + list(coords.torsion))
-    for i, d in enumerate(moduli):
-        row = [0] * (k + l)
-        row[k + i] = d
-        rows.append(row)
-
-    if k + l == 0:
-        return SpanReport(True, 0, 0, True, len(cycles), len(cycles))
-
-    entries = tuple((i, j, rows[i][j]) for i in range(len(rows))
-                    for j in range(k + l) if rows[i][j])
-    factors = smith_normal_form(IntegerMatrix(len(rows), k + l, entries))[0]
-    spans = len(factors) == k + l and all(f == 1 for f in factors)
-
-    free_entries = tuple((i, j, rows[i][j]) for i in range(len(cycles))
-                         for j in range(k) if rows[i][j])
-    free_rank = 0
-    if k and len(cycles):
-        free_rank = len(smith_normal_form(
-            IntegerMatrix(len(cycles), k, free_entries))[0])
+    count = len(cycles)
+    m = class_matrix(c, [cyc.chain for cyc in cycles])
+    l = m.rows - count                  # one relation row per torsion factor
+    k = m.cols - l
+    factors = smith_normal_form(m)[0]
+    spans = len(factors) == m.cols and all(f == 1 for f in factors)
+    free = tuple(e for e in m.entries if e[0] < count and e[1] < k)
+    free_rank = len(smith_normal_form(IntegerMatrix(count, k, free))[0])
     return SpanReport(spans, free_rank, k, spans if l else True,
-                      len(cycles), len(cycles) - k - l)
+                      count, count - k - l)

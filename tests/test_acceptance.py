@@ -189,8 +189,9 @@ def test_08_gauge_contract():
             ab, stat = ab_statistics_split(p2, g)
             omega = ab_part_as_omega1(ab)
             for n in (2, 3):
-                pn = build_n_particle(stat, omega, g, n)
-                assert is_topological(pn, build_complex(g, n)), (g, n)
+                c = build_complex(g, n)
+                pn = build_n_particle(stat, omega, c)
+                assert is_topological(pn, c), (g, n)
         # full-cycle rotation splits into a smaller rotation plus a Y-exchange
         for n in (3, 4):
             g, rotation, smaller, y = _rotation_split_fixture(n)

@@ -1,4 +1,9 @@
 """Connectivity decomposition and the closed-form H1 predictor."""
+import hashlib
+import json
+from itertools import combinations
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,3 +140,66 @@ def test_bookkeeping_beta1_consistency():
         comps, cuts = decompose(g)
         pair_cuts = sum(1 for c in cuts if c.kind == "pair")
         assert sum(betti1(m.graph) for m in comps) == betti1(g) + pair_cuts
+
+
+# sha256 of _golden_report over every connected atlas graph with 2..7
+# vertices, recorded from the hand-written BFS decomposition that the
+# networkx articulation-point scans replaced.
+GOLDEN_DIGEST = "4f4d374bca06009d8132a2634e68bc4d80692db7230d04b1f8fbfbd369445983"
+
+
+@pytest.fixture(scope="module")
+def atlas7():
+    """The 995 connected graphs of the networkx atlas with 2..7 vertices."""
+    return [Graph(g.number_of_nodes(), tuple(g.edges))
+            for g in nx.graph_atlas_g()
+            if 2 <= g.number_of_nodes() <= 7 and nx.is_connected(g)]
+
+
+def _golden_report(g):
+    """The decompose CLI report fields plus predict_h1 at n = 2, 3, as JSON."""
+    comps, cuts = decompose(g)
+    report = {
+        "cuts": [{"kind": c.kind, "vertices": list(c.vertices), "mu": c.mu,
+                  "nu": c.nu} for c in cuts],
+        "components": [{"kind": m.kind, "vertices": list(m.vertex_ids),
+                        "virtual_edges": [list(e) for e in m.virtual_edges]}
+                       for m in comps],
+    }
+    for n in (2, 3):
+        p = predict_h1(g, n)
+        report[f"predict_n{n}"] = [p.group.render(), p.beta1, p.N1, p.N2,
+                                   p.N3, p.N3_prime, p.N3_doubleprime]
+    return json.dumps(report, sort_keys=True)
+
+
+def test_decompose_and_predict_golden_atlas(atlas7):
+    assert len(atlas7) == 995
+    text = "\n".join(_golden_report(g) for g in atlas7)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGEST
+
+
+def test_cuts_match_brute_force_component_counts(atlas7):
+    for g in atlas7:
+        nxg = nx.Graph(g.edges)
+
+        def pieces(*removed):
+            h = nxg.copy()
+            h.remove_nodes_from(removed)
+            return nx.number_connected_components(h)
+
+        want = [((v,), pieces(v), nxg.degree(v))
+                for v in range(g.vertex_count) if pieces(v) >= 2]
+        assert [(c.vertices, c.mu, c.nu) for c in cut_vertices(g)] == want, g
+        if want or g.vertex_count < 3:
+            continue
+        want = [((x, y), pieces(x, y) + nxg.has_edge(x, y))
+                for x, y in combinations(range(g.vertex_count), 2)
+                if pieces(x, y) >= 2]
+        assert [(c.vertices, c.mu) for c in two_separations(g)] == want, g
+
+
+def test_predict_large_ladder():
+    rungs = 100
+    g = Graph(2 * rungs, tuple(nx.ladder_graph(rungs).edges))
+    assert predict_h1(g, 2).group.rank == betti1(g) + rungs - 2

@@ -151,8 +151,9 @@ def test_build_n_particle_topological(rng):
         c2 = build_complex(g, 2)
         p2 = random_topological_potential(c2, rng)
         ab, stat = ab_statistics_split(p2, g)
-        p3 = build_n_particle(stat, ab_part_as_omega1(ab), g, 3)
-        assert is_topological(p3, build_complex(g, 3))
+        c3 = build_complex(g, 3)
+        p3 = build_n_particle(stat, ab_part_as_omega1(ab), c3)
+        assert is_topological(p3, c3)
 
 
 def test_solve_round_trip(rng):

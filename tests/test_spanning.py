@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from confighom.complexes import boundary1_chain, build_complex
 from confighom.graphs import (Graph, complete_graph, cycle_graph, lasso_graph,
-                              star_graph, sufficiently_subdivide, wheel_graph)
+                              path_graph, star_graph, sufficiently_subdivide,
+                              wheel_graph)
 from confighom.homology import h1, is_cycle
 from confighom.spanning import (SpanningError, cycle_rotation_chain,
                                 flow_chain, flow_step, root_configuration,
@@ -32,6 +33,19 @@ def test_rooted_tree_preorder_labels():
 def test_rooted_tree_default_root_is_lowest_leaf():
     t = rooted_ordered_tree(lasso_graph())
     assert t.root == 0
+
+
+def test_rooted_tree_default_root_avoids_cut_vertex():
+    # no leaves, and vertex 0 joins the triangle 0-1-2 to the triangle 3-4-5
+    g = Graph(6, ((0, 1), (0, 2), (0, 3), (1, 2), (3, 4), (3, 5), (4, 5)))
+    assert rooted_ordered_tree(g).root == 1
+    assert verify_spanning(spanning_set(g, 2), build_complex(g, 2))
+
+
+def test_rooted_tree_on_long_path_has_no_recursion_limit():
+    t = rooted_ordered_tree(path_graph(1500))
+    assert t.label == tuple(range(1, 1501))
+    assert spanning_set(path_graph(1500), 2) == []
 
 
 def test_rooted_tree_rejects_degree2_root():
