@@ -3,24 +3,28 @@
 
 Covers every connected simple graph up to --atlas-max vertices (via the
 networkx graph atlas) plus --random seeded random connected graphs on
---random-sizes vertices.  Exits nonzero on the first mismatch.
+--random-sizes vertices, at --n particles (each graph is subdivided enough
+for n first).  Reports every mismatch and exits nonzero if there was one.
+
+    PYTHONPATH=src python scripts/run_corpus.py --n 3 --random 0 --workers 2
 """
 import argparse
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import networkx as nx
 
 from confighom.complexes import build_complex
 from confighom.connectivity import predict_h1
-from confighom.graphs import Graph
+from confighom.graphs import Graph, sufficiently_subdivide
 from confighom.homology import h1
 
 
-def check(g: Graph) -> tuple[bool, str, str]:
-    p = predict_h1(g, 2).group
-    o = h1(build_complex(g, 2))
+def check(g: Graph, n: int) -> tuple[bool, str, str]:
+    p = predict_h1(g, n).group
+    o = h1(build_complex(sufficiently_subdivide(g, n)[0], n))
     return (p.rank, p.torsion) == (o.rank, o.torsion), p.render(), o.render()
 
 
@@ -46,6 +50,7 @@ def random_graphs(count, sizes, seed):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--n", type=int, default=2, help="particle count")
     ap.add_argument("--atlas-max", type=int, default=7)
     ap.add_argument("--random", type=int, default=200)
     ap.add_argument("--random-sizes", type=int, nargs="+", default=[8, 9])
@@ -56,11 +61,12 @@ def main() -> int:
     graphs = list(atlas_graphs(args.atlas_max))
     graphs += list(random_graphs(args.random, tuple(args.random_sizes),
                                  args.seed))
-    print(f"checking {len(graphs)} graphs")
+    print(f"checking {len(graphs)} graphs at n={args.n}")
 
     failures = 0
     with ProcessPoolExecutor(max_workers=args.workers) as pool:
-        for g, (ok, pred, oracle) in zip(graphs, pool.map(check, graphs)):
+        results = pool.map(partial(check, n=args.n), graphs)
+        for g, (ok, pred, oracle) in zip(graphs, results):
             if not ok:
                 failures += 1
                 print(f"MISMATCH {g}: predicted {pred}, computed {oracle}")

@@ -159,8 +159,17 @@ def _load_potential(path: str, g: Graph, n: int) -> GaugePotential:
     return potential_from_json(_load_json(path), g, n)
 
 
+_GAUGE_NEEDS = {"check": ("potential",), "split": ("potential",),
+                "lift": ("potential", "edge"), "embed": ("potential",),
+                "solve": ("targets",)}
+
+
 def cmd_gauge(args) -> int:
     started = time.perf_counter()
+    missing = [f"--{name}" for name in _GAUGE_NEEDS[args.action]
+               if getattr(args, name) is None]
+    if missing:
+        raise InputError(f"gauge {args.action} needs {' and '.join(missing)}")
     g, digest = _load_graph(args.graph)
     report = {"command": f"gauge {args.action}", "input": digest}
     if args.action == "check":
@@ -172,8 +181,8 @@ def cmd_gauge(args) -> int:
             report["generator_fluxes"] = [
                 {"kind": cyc.kind, "provenance": repr(cyc.provenance),
                  "flux_mod_1": str(flux(p, cyc.chain) % 1)} for cyc in gens]
-        except SpanningError:
-            pass
+        except SpanningError as exc:
+            report["notice"] = f"generator_fluxes omitted: {exc}"
     elif args.action == "split":
         p = _load_potential(args.potential, g, 2)
         ab, st = ab_statistics_split(p, g)
@@ -196,13 +205,17 @@ def cmd_gauge(args) -> int:
     elif args.action == "solve":
         c = build_complex(g, args.n)
         targets = []
-        for item in _load_json(args.targets):
-            chain = {}
-            for entry in item["cycle"]:
-                key, sign = cell1((int(s) for s in entry["spectators"]),
-                                  int(entry["from"]), int(entry["to"]))
-                chain[key] = chain.get(key, 0) + sign * int(entry.get("coeff", 1))
-            targets.append((chain, Fraction(str(item["value"]))))
+        try:
+            for item in _load_json(args.targets):
+                chain = {}
+                for entry in item["cycle"]:
+                    key, sign = cell1((int(s) for s in entry["spectators"]),
+                                      int(entry["from"]), int(entry["to"]))
+                    chain[key] = (chain.get(key, 0)
+                                  + sign * int(entry.get("coeff", 1)))
+                targets.append((chain, Fraction(str(item["value"]))))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"malformed targets in {args.targets}: {exc!r}")
         p = solve_from_fluxes(c, targets)
         report["potential"] = potential_to_json(p)
     _emit(report, args.json, started)

@@ -172,33 +172,40 @@ def _classify(vertices: list[int], edges: list[tuple[int, int]],
 def _split_two(vertices: list[int], edges: list[tuple[int, int]],
                virtual: list[tuple[int, int]],
                cuts: list[CutRecord], comps: list[MarkedComponent]):
-    """Recursively split a 2-connected multigraph piece at 2-separations.
+    """Split a 2-connected multigraph piece at 2-separations.
 
-    The piece splits at its lexicographically first separating pair.
+    A piece splits at its lexicographically first separating pair {x, y}.
+    Its pieces are split in turn, in order of their smallest vertex, and each
+    direct x-y edge follows them as a component of its own.  An explicit
+    stack keeps that depth-first order, so long chains of 2-separations do not
+    reach Python's recursion limit.
     """
-    if all(d == 2 for d in Counter(v for e in edges for v in e).values()):
-        comps.append(_classify(vertices, edges, virtual))
-        return
-    nxg = _nx_graph(vertices, edges)
-    for x in vertices:
-        partners = _separating_partners(nxg, x)
-        if partners:
-            y = min(partners)
-            break
-    else:
-        comps.append(_classify(vertices, edges, virtual))
-        return
-    pieces = sorted(nx.connected_components(nxg.subgraph(
-        v for v in vertices if v not in (x, y))), key=min)
-    ve = (x, y)
-    direct = [e for e in edges if e == ve]
-    cuts.append(CutRecord("pair", ve, len(pieces) + len(direct)))
-    for piece in pieces:
-        pedges = [e for e in edges if e[0] in piece or e[1] in piece]
-        pverts = sorted(piece | {x, y})
-        _split_two(pverts, pedges + [ve], virtual + [ve], cuts, comps)
-    for e in direct:
-        comps.append(_classify([x, y], [e, ve], virtual + [ve]))
+    stack = [(vertices, edges, virtual, True)]
+    while stack:
+        vertices, edges, virtual, split = stack.pop()
+        if not split or all(d == 2 for d in
+                            Counter(v for e in edges for v in e).values()):
+            comps.append(_classify(vertices, edges, virtual))
+            continue
+        nxg = _nx_graph(vertices, edges)
+        for x in vertices:
+            partners = _separating_partners(nxg, x)
+            if partners:
+                y = min(partners)
+                break
+        else:
+            comps.append(_classify(vertices, edges, virtual))
+            continue
+        pieces = sorted(nx.connected_components(nxg.subgraph(
+            v for v in vertices if v not in (x, y))), key=min)
+        ve = (x, y)
+        direct = [e for e in edges if e == ve]
+        cuts.append(CutRecord("pair", ve, len(pieces) + len(direct)))
+        tasks = [(sorted(piece | {x, y}),
+                  [e for e in edges if e[0] in piece or e[1] in piece] + [ve],
+                  virtual + [ve], True) for piece in pieces]
+        tasks += [([x, y], [e, ve], virtual + [ve], False) for e in direct]
+        stack.extend(reversed(tasks))
 
 
 def decompose(g: Graph) -> tuple[list[MarkedComponent], list[CutRecord]]:

@@ -283,19 +283,28 @@ def graph_to_json(g: Graph) -> dict:
     return d
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass in Python but not here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(obj: Mapping, require_simple_connected: bool = True) -> Graph:
     try:
         vertices = obj["vertices"]
         edges = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph object: {exc}")
-    if not isinstance(vertices, int) or vertices < 0:
+    if not _is_int(vertices) or vertices < 0:
         raise GraphError("'vertices' must be a nonnegative integer")
+    if not isinstance(edges, (list, tuple)):
+        raise GraphError("'edges' must be a list of pairs")
     pairs = []
     for e in edges:
         if not (isinstance(e, (list, tuple)) and len(e) == 2):
             raise GraphError("each edge must be a pair [u, v]")
-        pairs.append((int(e[0]), int(e[1])))
+        if not (_is_int(e[0]) and _is_int(e[1])):
+            raise GraphError(f"edge endpoints must be integers, got {e!r}")
+        pairs.append((e[0], e[1]))
     g = Graph(vertices, tuple(pairs), name=obj.get("name"))
     if require_simple_connected:
         if not g.is_simple():

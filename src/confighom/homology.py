@@ -6,13 +6,18 @@ where the coordinates of any cycle are simply its coefficients on non-forest
 cells.  The invariant factors of d2 restricted to those coordinates give the
 torsion; the free rank follows from the rank identity.
 
-All arithmetic is arbitrary-precision Python integers.  The eliminator uses
-unit pivots with a Markowitz-style fill heuristic and falls back to a dense
-textbook reduction for the small residual block without unit entries.
+All arithmetic is arbitrary-precision Python integers.  The eliminator first
+removes unit entries that are alone in their row or column (coreduction, no
+fill-in), then takes unit pivots by least Markowitz score
+(len(row) - 1) * (len(col) - 1), ties going to the earliest column and, inside
+it, the earliest row in that column's order.  A lazy min-heap of columns finds
+that pivot without rescanning the matrix.  A dense textbook reduction finishes
+the small residual block without unit entries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .complexes import Cell1, CellComplex
@@ -92,6 +97,18 @@ class _Eliminator:
     Rows and columns keep their original indices throughout; the result is a
     list of pivots (row, col, positive factor) plus, when logging is on, the
     row/column operation logs that realize the transforms.
+
+    The unit pivot is the argmin of (Markowitz score, the column's position in
+    `col`, the row's position in that column's dict).  Columns are only ever
+    deleted during the unit phase, never re-inserted, so a column's position
+    is the one it had when the phase began.  A min-heap holds
+    (score lower bound, position, column) entries; `_key` maps each column to
+    its lowest pushed bound.  Invariant: every live column with a unit entry
+    has `_key[c]` at most its true score.  The top is therefore the pivot's
+    column once its recomputed score equals its key; a column whose score has
+    risen is pushed back with the new score.  After each unit elimination the
+    columns of the pivot row are rescored and the unit entries of every row
+    that got shorter lower their columns' keys, the only ways a score can fall.
     """
 
     def __init__(self, nrows: int, ncols: int,
@@ -118,6 +135,9 @@ class _Eliminator:
         self.col_ops: list[tuple] = []
         self.pivots: list[tuple[int, int, int]] = []
         self.done = False
+        self._heap: Optional[list[tuple[int, int, int]]] = None
+        self._key: dict[int, int] = {}
+        self._pos: dict[int, int] = {}
 
     # -- elementary operations (maintain both indexes) --
 
@@ -186,12 +206,30 @@ class _Eliminator:
         if v < 0:
             self._row_neg(r)
             v = 1
-        for r2 in [x for x in self.col[c] if x != r]:
+        rows = [x for x in self.col[c] if x != r]
+        lengths = [len(self.row[x]) for x in rows]
+        for r2 in rows:
             self._row_add(r2, r, -self.row[r2][c])
-        for c2 in [x for x in self.row[r] if x != c]:
+        cols = [x for x in self.row[r] if x != c]
+        for c2 in cols:
             self._col_add(c2, c, -self.row[r][c2])
         self.pivots.append((r, c, 1))
         self._remove(r, c)
+        if self._heap is None:
+            return
+        # only the pivot row's columns changed entries; elsewhere a score
+        # falls only through a row that got shorter
+        for c2 in cols:
+            score, _ = self._column_best(c2)
+            if score is not None:
+                self._lower(c2, score)
+        for r2, before in zip(rows, lengths):
+            d = self.row.get(r2)
+            if d is not None and len(d) < before:
+                rn = len(d) - 1
+                for c2, v2 in d.items():
+                    if v2 == 1 or v2 == -1:
+                        self._lower(c2, rn * (len(self.col[c2]) - 1))
 
     def _coreduce(self, queue: list[tuple[str, int]]):
         """Eliminate singleton rows/cols with unit entry: zero fill-in."""
@@ -218,21 +256,56 @@ class _Eliminator:
                 self._eliminate_unit(idx, c)
                 queue.extend(touched)
 
-    def _best_unit_pivot(self) -> Optional[tuple[int, int]]:
-        """Unit entry with small Markowitz fill score."""
-        best = None
-        best_score = None
-        for c, cd in self.col.items():
+    def _column_best(self, c: int) -> tuple[Optional[int], Optional[int]]:
+        """Least Markowitz score of a unit entry in column c, and the first
+        row in the column's order that has it; (None, None) without one."""
+        best = best_score = None
+        cd = self.col.get(c)
+        if cd:
             cn = len(cd) - 1
+            row = self.row
             for r, v in cd.items():
                 if v != 1 and v != -1:
                     continue
-                score = (len(self.row[r]) - 1) * cn
+                score = (len(row[r]) - 1) * cn
                 if best_score is None or score < best_score:
-                    best, best_score = (r, c), score
+                    best, best_score = r, score
                     if score == 0:
-                        return best
-        return best
+                        break
+        return best_score, best
+
+    def _lower(self, c: int, score: int):
+        """Let column c's heap key fall to score if that is lower."""
+        key = self._key.get(c)
+        if key is None or score < key:
+            self._key[c] = score
+            heappush(self._heap, (score, self._pos[c], c))
+
+    def _start_heap(self):
+        self._pos = {c: i for i, c in enumerate(self.col)}
+        self._heap = []
+        for c in self._pos:
+            score, _ = self._column_best(c)
+            if score is not None:
+                self._lower(c, score)
+
+    def _best_unit_pivot(self) -> Optional[tuple[int, int]]:
+        """Unit entry with least Markowitz fill score, earliest on ties."""
+        heap, key = self._heap, self._key
+        while heap:
+            bound, i, c = heappop(heap)
+            if key.get(c) != bound:
+                continue  # stale: c was pushed again since, or is settled
+            score, r = self._column_best(c)
+            if score == bound:
+                del key[c]
+                return r, c
+            if score is None:
+                del key[c]
+            else:
+                key[c] = score
+                heappush(heap, (score, i, c))
+        return None
 
     def reduce(self):
         if self.done:
@@ -240,6 +313,7 @@ class _Eliminator:
         queue = [("col", c) for c in list(self.col) if len(self.col[c]) == 1]
         queue += [("row", r) for r in list(self.row) if len(self.row[r]) == 1]
         self._coreduce(queue)
+        self._start_heap()
         while True:
             piv = self._best_unit_pivot()
             if piv is None:
@@ -249,6 +323,7 @@ class _Eliminator:
             neighbors += [("row", r2) for r2 in self.col[c] if r2 != r]
             self._eliminate_unit(r, c)
             self._coreduce(neighbors)
+        self._heap, self._key, self._pos = None, {}, {}  # free before dense
         if self.row:
             self._dense_finish()
         self.done = True

@@ -145,3 +145,49 @@ def test_gauge_check_reports_fluxes(capsys, lasso_file, tmp_path):
     report = json.loads(out)
     assert report["topological"] is True
     assert {f["kind"] for f in report["generator_fluxes"]} == {"AB", "Y"}
+
+
+@pytest.mark.parametrize("edge", [[0, 1.7], [True, 1]])
+def test_non_integer_endpoint_is_input_error(capsys, tmp_path, edge):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": 3, "edges": [edge, [1, 2]]}))
+    code = main(["predict", str(path)])
+    assert code == EXIT_INPUT
+    assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check"], "--potential"), (["split"], "--potential"),
+    (["embed"], "--potential"), (["lift"], "--potential"),
+    (["lift", "--potential", "POT"], "--edge"), (["solve"], "--targets")])
+def test_gauge_missing_argument_is_input_error(capsys, lasso_file, tmp_path,
+                                               argv, flag):
+    pot = tmp_path / "pot.json"
+    pot.write_text("[]")
+    argv = [str(pot) if a == "POT" else a for a in argv]
+    code = main(["gauge", argv[0], lasso_file, *argv[1:]])
+    assert code == EXIT_INPUT
+    assert flag in capsys.readouterr().err
+
+
+def test_gauge_malformed_targets_is_input_error(capsys, lasso_file, tmp_path):
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([{"value": "1/2"}]))
+    code = main(["gauge", "solve", lasso_file, "--targets", str(targets)])
+    assert code == EXIT_INPUT
+    assert "malformed targets" in capsys.readouterr().err
+
+
+def test_gauge_check_notes_missing_generator_fluxes(capsys, tmp_path):
+    # K4 is not sufficiently subdivided for three particles, so no spanning
+    # set exists; the report says so instead of dropping the key silently
+    graph_file = tmp_path / "k4.json"
+    graph_file.write_text(json.dumps(graph_to_json(complete_graph(4))))
+    pot = tmp_path / "pot.json"
+    pot.write_text("[]")
+    code, out = run(capsys, "gauge", "check", str(graph_file), "-n", "3",
+                    "--potential", str(pot), "--json")
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert "generator_fluxes" not in report
+    assert "sufficiently subdivided" in report["notice"]

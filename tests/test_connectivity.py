@@ -1,6 +1,8 @@
 """Connectivity decomposition and the closed-form H1 predictor."""
 import hashlib
 import json
+import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -203,3 +205,36 @@ def test_predict_large_ladder():
     rungs = 100
     g = Graph(2 * rungs, tuple(nx.ladder_graph(rungs).edges))
     assert predict_h1(g, 2).group.rank == betti1(g) + rungs - 2
+
+
+def test_long_chain_of_two_separations_has_no_recursion_limit():
+    # the triangle strip on vertices 0..V-1 splits at {i+1, i+2} once per
+    # triangle; a splitter that recursed once per 2-separation would pass
+    # the lowered limit
+    V = 200
+    edges = [(i, i + 1) for i in range(V - 1)] + [(i, i + 2) for i in range(V - 2)]
+    g = Graph(V, tuple(edges))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        comps, cuts = decompose(g)
+        p = predict_h1(g, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    # V - 2 triangles, and each of the V - 3 separating pairs is also joined
+    # by a direct edge (mu = 3), which becomes a component of its own
+    assert [m.kind for m in comps] == ["topological-cycle"] * (2 * V - 5)
+    assert [(c.kind, c.mu) for c in cuts] == [("pair", 3)] * (V - 3)
+    assert [c.vertices for c in cuts][:3] == [(1, 2), (2, 3), (3, 4)]
+    assert (p.beta1, p.N2, p.group.render()) == (V - 2, V - 3, f"Z^{2 * V - 5}")
+
+
+def test_predictor_matches_oracle_three_particles_atlas_sample(atlas7):
+    # n = 3 brings in the n-dependent cut-vertex term N1, which the n = 2
+    # corpus cannot tell apart from its two-particle special case
+    seven = [g for g in atlas7 if g.vertex_count == 7]
+    assert len(seven) == 853
+    for g in random.Random(3).sample(seven, 40):
+        p = predict_h1(g, 3).group
+        o = h1(build_complex(sufficiently_subdivide(g, 3)[0], 3))
+        assert (p.rank, p.torsion) == (o.rank, o.torsion), g

@@ -88,3 +88,16 @@ def test_json_roundtrip():
 def test_json_rejects_disconnected():
     with pytest.raises(GraphError):
         graph_from_json({"vertices": 4, "edges": [[0, 1], [2, 3]]})
+
+
+@pytest.mark.parametrize("edge", [[0, 1.7], [True, 1], [0, "1"]])
+def test_json_rejects_non_integer_endpoints(edge):
+    with pytest.raises(GraphError, match="integers"):
+        graph_from_json({"vertices": 3, "edges": [edge, [1, 2]]})
+
+
+def test_json_rejects_boolean_vertex_count_and_non_list_edges():
+    with pytest.raises(GraphError):
+        graph_from_json({"vertices": True, "edges": []})
+    with pytest.raises(GraphError, match="list of pairs"):
+        graph_from_json({"vertices": 2, "edges": 5})

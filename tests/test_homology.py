@@ -1,14 +1,18 @@
 """Integer Smith normal form and H1 of configuration complexes."""
+import hashlib
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confighom.complexes import build_complex, cell1
 from confighom.graphs import (complete_bipartite, complete_graph, cycle_graph,
-                              lasso_graph, star_graph, sufficiently_subdivide,
-                              wheel_graph)
-from confighom.homology import (AbelianGroup, IntegerMatrix, h0, h1, is_cycle,
+                              lasso_graph, prism_graph, star_graph,
+                              sufficiently_subdivide, wheel_graph)
+from confighom.homology import (AbelianGroup, IntegerMatrix, _Eliminator,
+                                _h1_data, class_matrix, h0, h1, is_cycle,
                                 homology_coordinates, matmul, nontree_classes,
                                 smith_normal_form)
+from confighom.spanning import spanning_set
 
 
 def _chain(steps):
@@ -122,3 +126,35 @@ def test_k5_exchange_generator_is_torsion():
     assert coords.torsion == (1,) and coords.moduli == (2,)
     doubled = {k: 2 * v for k, v in hexagon.items()}
     assert homology_coordinates(c, doubled).is_zero()
+
+
+PIVOT_ORDER_DIGEST = (
+    "0e34e5d60d43d2dde63d99f42039c8ed2eed6e89db9f47af7da46c76b4cb6486")
+
+
+def _pivot_order_digest():
+    """sha256 over the pivots and operation logs of a few logged reductions."""
+    h = hashlib.sha256()
+    for g, n in ((complete_graph(4), 3), (prism_graph(), 3),
+                 (complete_graph(5), 3), (complete_bipartite(3, 3), 2)):
+        c = build_complex(sufficiently_subdivide(g, n)[0], n)
+        data = _h1_data(c)
+        entries = [(data.pos[r], col, v) for r, col, v in c.boundary2
+                   if r in data.pos]
+        elim = _Eliminator(len(data.nontree), len(c.cells2), entries, log=True)
+        elim.reduce()
+        h.update(repr((elim.pivots, elim.row_ops, elim.col_ops)).encode())
+    for g, n in ((complete_graph(5), 2), (prism_graph(), 3)):
+        gs = sufficiently_subdivide(g, n)[0]
+        c = build_complex(gs, n)
+        m = class_matrix(c, [cyc.chain for cyc in spanning_set(gs, n)])
+        h.update(repr(smith_normal_form(m, transforms=True)).encode())
+    return h.hexdigest()
+
+
+def test_pivot_order_is_pinned():
+    # the digest was computed with a full scan of the matrix for the least
+    # Markowitz score; the column heap must pick the same pivots in the same
+    # order, so that the operation logs, the transforms and every coordinate
+    # built on them stay byte-identical
+    assert _pivot_order_digest() == PIVOT_ORDER_DIGEST
