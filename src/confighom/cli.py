@@ -15,13 +15,14 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import build_complex, cell1, cell_counts
+from .complexes import build_complex, cell_counts
 from .connectivity import decompose, predict_h1, beta_star, gamma_star
 from .gauge import (GaugeError, GaugePotential, ab_part_as_omega1,
-                    ab_statistics_split, build_n_particle, flux,
-                    is_topological, lift_subdivision, potential_from_json,
-                    potential_to_json, solve_from_fluxes)
-from .graphs import Graph, GraphError, graph_from_json, sufficiently_subdivide
+                    ab_statistics_split, build_n_particle, cell_from_json,
+                    flux, is_topological, lift_subdivision,
+                    potential_from_json, potential_to_json, solve_from_fluxes)
+from .graphs import (Graph, GraphError, _is_int, graph_from_json,
+                     sufficiently_subdivide)
 from .homology import h1
 from .spanning import SpanningError, spanning_set, verify_spanning
 
@@ -159,6 +160,13 @@ def _load_potential(path: str, g: Graph, n: int) -> GaugePotential:
     return potential_from_json(_load_json(path), g, n)
 
 
+def _parse_edge(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2 or not all(x.strip().isdecimal() for x in parts):
+        raise InputError(f"--edge must be two vertex ids u,v, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 _GAUGE_NEEDS = {"check": ("potential",), "split": ("potential",),
                 "lift": ("potential", "edge"), "embed": ("potential",),
                 "solve": ("targets",)}
@@ -190,8 +198,7 @@ def cmd_gauge(args) -> int:
         report["statistics_part"] = potential_to_json(st)
     elif args.action == "lift":
         p = _load_potential(args.potential, g, 2)
-        u, v = (int(x) for x in args.edge.split(","))
-        lifted = lift_subdivision(p, (u, v))
+        lifted = lift_subdivision(p, _parse_edge(args.edge))
         report["graph"] = {"vertices": lifted.graph.vertex_count,
                            "edges": [list(e) for e in lifted.graph.edges]}
         report["potential"] = potential_to_json(lifted)
@@ -209,10 +216,12 @@ def cmd_gauge(args) -> int:
             for item in _load_json(args.targets):
                 chain = {}
                 for entry in item["cycle"]:
-                    key, sign = cell1((int(s) for s in entry["spectators"]),
-                                      int(entry["from"]), int(entry["to"]))
-                    chain[key] = (chain.get(key, 0)
-                                  + sign * int(entry.get("coeff", 1)))
+                    key, sign = cell_from_json(entry)
+                    coeff = entry.get("coeff", 1)
+                    if not _is_int(coeff):
+                        raise InputError(
+                            f"cycle coefficients must be integers, got {coeff!r}")
+                    chain[key] = chain.get(key, 0) + sign * coeff
                 targets.append((chain, Fraction(str(item["value"]))))
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed targets in {args.targets}: {exc!r}")

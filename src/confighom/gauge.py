@@ -15,13 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .complexes import (Cell1, CellComplex, boundary2_chain, build_complex,
                         cell1)
-from .graphs import Graph, subdivide_edge
-from .homology import (_h1_data, class_matrix, nontree_classes,
-                       smith_normal_form)
+from .graphs import Graph, _is_int, subdivide_edge
+from .homology import _h1_data, class_matrix, smith_normal_form
 
 Phase = Fraction
 
@@ -300,22 +300,37 @@ def potential_from_class_values(c: CellComplex,
     some 2-cell boundary picks up fractional flux.
     """
     data = _h1_data(c, log=True)
-    if len(free_values) != len(data.free_rows) or \
-            len(torsion_values) != len(data.torsion_pivots):
+    if len(free_values) != data.rank or \
+            len(torsion_values) != len(data.torsion):
         raise GaugeError("wrong number of class values")
-    for val, (_, d) in zip(torsion_values, data.torsion_pivots):
+    for val, d in zip(torsion_values, data.torsion):
         if not _is_integer(val * d):
             raise GaugeError("unrealizable phase")
+    # each non-forest cell's phase is its class table column paired with the
+    # values; torsion entries of the table are already reduced mod d
+    den, num = _scaled(list(free_values) + list(torsion_values))
     vals: dict[Cell1, Fraction] = {}
-    for cell, coords in nontree_classes(c).items():
-        total = Fraction(0)
-        for x, y in zip(coords.free, free_values):
-            total += x * y
-        for x, y in zip(coords.torsion, torsion_values):
-            total += x * y
-        if total:
-            vals[cell] = total
+    for j in data.nontree:
+        w = data.table.get(data.pos[j])
+        if w:
+            total = sum(u * num[s] for s, u in w.items())
+            if total:
+                vals[c.cells1[j]] = Fraction(total, den)
     return GaugePotential(c.n, c.graph, vals)
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of values, and each value times it."""
+    den = lcm(*(Fraction(v).denominator for v in values))
+    return den, [int(v * den) for v in values]
+
+
+def _dot_rows(rows: Sequence[Sequence[int]],
+              vec: Sequence[Fraction]) -> list[Fraction]:
+    """Each integer row's exact dot product with vec, over one denominator."""
+    den, num = _scaled(vec)
+    nonzero = [(j, x) for j, x in enumerate(num) if x]
+    return [Fraction(sum(row[j] * x for j, x in nonzero), den) for row in rows]
 
 
 def solve_from_fluxes(c: CellComplex,
@@ -331,16 +346,14 @@ def solve_from_fluxes(c: CellComplex,
     k = m.cols - l
     b = [Fraction(t) for _, t in targets] + [Fraction(0)] * l
     factors, U, V = smith_normal_form(m, transforms=True)
-    ub = [sum(Fraction(U[i][j]) * b[j] for j in range(len(b)))
-          for i in range(len(b))]
+    ub = _dot_rows(U, b)
     w = [Fraction(0)] * m.cols
     for i, d in enumerate(factors):
         w[i] = ub[i] / d
     for i in range(len(factors), len(b)):
         if not _is_integer(ub[i]):
             raise GaugeError("unrealizable phase")
-    y = [sum(Fraction(V[i][j]) * w[j] for j in range(m.cols))
-         for i in range(m.cols)]
+    y = _dot_rows(V, w)
     p = potential_from_class_values(c, y[:k], y[k:])
     for z, target in targets:
         if not _is_integer(flux(p, _as_cell_chain(c, z)) - target):
@@ -362,7 +375,7 @@ def random_topological_potential(c: CellComplex,
     random multiples of 1/d on torsion classes."""
     data = _h1_data(c, log=True)
     free = [Fraction(rng.randint(-24, 24), rng.randint(1, 12))
-            for _ in data.free_rows]
+            for _ in range(data.rank)]
     tors = [Fraction(rng.randrange(d), d) for d in data.torsion]
     return potential_from_class_values(c, free, tors)
 
@@ -379,17 +392,26 @@ def potential_to_json(p: GaugePotential) -> list[dict]:
     return out
 
 
+def cell_from_json(entry: Mapping) -> tuple[Cell1, int]:
+    """Canonical cell and direction sign of a JSON move
+    {"spectators": [...], "from": u, "to": v}; vertex ids must be integers."""
+    spec, u, v = entry["spectators"], entry["from"], entry["to"]
+    if not (isinstance(spec, (list, tuple)) and all(_is_int(s) for s in spec)
+            and _is_int(u) and _is_int(v)):
+        raise GaugeError("vertex ids must be integers, got spectators "
+                         f"{spec!r}, from {u!r}, to {v!r}")
+    return cell1(spec, u, v)
+
+
 def potential_from_json(obj: Sequence[Mapping], g: Graph,
                         n: int) -> GaugePotential:
     vals: dict[Cell1, Fraction] = {}
     for item in obj:
         try:
-            spec = tuple(int(s) for s in item["spectators"])
-            u, v = int(item["from"]), int(item["to"])
+            key, sign = cell_from_json(item)
             val = Fraction(str(item["value"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise GaugeError(f"malformed potential entry: {exc}")
-        key, sign = cell1(spec, u, v)
         if key in vals:
             raise GaugeError(f"duplicate cell {key!r}")
         vals[key] = sign * val

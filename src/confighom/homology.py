@@ -13,6 +13,14 @@ fill-in), then takes unit pivots by least Markowitz score
 it, the earliest row in that column's order.  A lazy min-heap of columns finds
 that pivot without rescanning the matrix.  A dense textbook reduction finishes
 the small residual block without unit entries.
+
+Class coordinates need the transform U (the product of the logged row
+operations) only through its rows at the free and torsion-pivot positions.
+A logged reduction builds them once, as a class table held column by
+column: one backward pass over the log, in which x_i += m * x_j adds m times
+column i to column j and a negation negates column i.  The log is then
+dropped, and the coordinates of any chain are a sparse dot product with the
+table.
 """
 from __future__ import annotations
 
@@ -395,22 +403,6 @@ class _Eliminator:
         return factors
 
 
-def apply_row_ops(ops: Sequence[tuple], x: dict[int, int]) -> dict[int, int]:
-    """Apply a logged row-operation sequence to a coordinate vector."""
-    for op in ops:
-        if op[0] == "add":
-            _, i, j, m = op
-            xi = x.get(i, 0) + m * x.get(j, 0)
-            if xi:
-                x[i] = xi
-            else:
-                x.pop(i, None)
-        elif op[0] == "neg":
-            if op[1] in x:
-                x[op[1]] = -x[op[1]]
-    return x
-
-
 def smith_normal_form(m: IntegerMatrix, transforms: bool = False):
     """Invariant factors of m; optionally unimodular U, V with U m V = diag.
 
@@ -504,16 +496,57 @@ class _H1Data:
         elim = _Eliminator(k, len(c.cells2), entries, log=log)
         elim.reduce()
         self.rank_d2 = len(elim.pivots)
-        self.row_ops = elim.row_ops
         pivot_rows = {r for r, _, _ in elim.pivots}
-        self.free_rows = sorted(set(range(k)) - pivot_rows)
-        self.torsion_pivots = sorted(
+        free_rows = sorted(set(range(k)) - pivot_rows)
+        torsion_pivots = sorted(
             [(r, d) for r, _, d in elim.pivots if d > 1], key=lambda p: p[1]
         )
-        self.torsion = tuple(d for _, d in self.torsion_pivots)
+        self.torsion = tuple(d for _, d in torsion_pivots)
         self.rank = (n1 - self.rank_d1) - self.rank_d2
-        if self.rank != len(self.free_rows):
+        if self.rank != len(free_rows):
             raise HomologyError("rank identity failed")
+        sel = free_rows + [r for r, _ in torsion_pivots]
+        self.table = (_class_table(elim.row_ops, sel, self.rank, self.torsion)
+                      if log else {})
+
+
+def _class_table(row_ops: Sequence[tuple], sel: Sequence[int], rank: int,
+                 moduli: Sequence[int]) -> dict[int, dict[int, int]]:
+    """Columns of the rows sel of U, the product of the logged row operations.
+
+    Entry table[r][s] is U[sel[s], r], nonzero entries only, with torsion
+    slots s >= rank reduced mod their modulus.  Row e_sel[s] times U is built
+    by walking the log backwards: x_i += m * x_j (an "add") turns into
+    column j gaining m times column i, and a "neg" negates column i.
+    """
+    table = {r: {s: 1} for s, r in enumerate(sel)}
+    for op in reversed(row_ops):
+        wi = table.get(op[1])
+        if not wi:
+            continue
+        if op[0] == "neg":
+            for s, v in wi.items():
+                wi[s] = -v
+            continue
+        _, _, j, m = op
+        wj = table.setdefault(j, {})
+        for s, v in wi.items():
+            nv = wj.get(s, 0) + m * v
+            if nv:
+                wj[s] = nv
+            else:
+                wj.pop(s, None)
+        if not wj:
+            del table[j]
+    for r, w in list(table.items()):
+        for s, d in enumerate(moduli, rank):
+            if s in w:
+                w[s] %= d
+                if not w[s]:
+                    del w[s]
+        if not w:
+            del table[r]
+    return table
 
 
 def _h1_data(c: CellComplex, log: bool = False) -> _H1Data:
@@ -560,24 +593,35 @@ def is_cycle(c: CellComplex, z: Chain1) -> bool:
     return not any(acc.values())
 
 
+def _coordinates(data: _H1Data, x: Mapping[int, int]) -> H1Coordinates:
+    """Class coordinates of the vector x over the non-forest rows."""
+    acc = [0] * (data.rank + len(data.torsion))
+    table = data.table
+    for r, v in x.items():
+        w = table.get(r)
+        if w:
+            for s, u in w.items():
+                acc[s] += v * u
+    free = tuple(acc[:data.rank])
+    torsion = tuple(a % d for a, d in zip(acc[data.rank:], data.torsion))
+    return H1Coordinates(free, torsion, data.torsion)
+
+
 def nontree_classes(c: CellComplex) -> dict[Cell1, H1Coordinates]:
     """Class coordinates of the fundamental cycle of every non-forest 1-cell.
 
     The fundamental cycle of a non-forest cell (the cell plus the forest path
     closing it) has that cell as its only non-forest coefficient, so its class
-    is the coordinate image of a unit vector.  This is the lookup table behind
-    cocycle-style constructions: any linear functional on H1 extends to a
-    1-cochain that vanishes on the forest.
+    is the coordinate image of a unit vector: column r of the class table,
+    read from the rows of U that give the free and torsion coordinates.  The
+    table comes from one backward pass over the logged row operations, and
+    every coordinate read is a sparse dot product with it.  This is the
+    lookup table behind cocycle-style constructions: any linear functional on
+    H1 extends to a 1-cochain that vanishes on the forest.
     """
     data = _h1_data(c, log=True)
-    out: dict[Cell1, H1Coordinates] = {}
-    for j in data.nontree:
-        x = {data.pos[j]: 1}
-        apply_row_ops(data.row_ops, x)
-        free = tuple(x.get(r, 0) for r in data.free_rows)
-        torsion = tuple(x.get(r, 0) % d for r, d in data.torsion_pivots)
-        out[c.cells1[j]] = H1Coordinates(free, torsion, data.torsion)
-    return out
+    return {c.cells1[j]: _coordinates(data, {data.pos[j]: 1})
+            for j in data.nontree}
 
 
 def homology_coordinates(c: CellComplex, z: Chain1) -> H1Coordinates:
@@ -589,11 +633,8 @@ def homology_coordinates(c: CellComplex, z: Chain1) -> H1Coordinates:
         raise HomologyError("chain is not a cycle")
     data = _h1_data(c, log=True)
     zi = _chain_to_indices(c, z)
-    x = {data.pos[j]: v for j, v in zi.items() if j in data.pos}
-    apply_row_ops(data.row_ops, x)
-    free = tuple(x.get(r, 0) for r in data.free_rows)
-    torsion = tuple(x.get(r, 0) % d for r, d in data.torsion_pivots)
-    return H1Coordinates(free, torsion, data.torsion)
+    return _coordinates(data, {data.pos[j]: v for j, v in zi.items()
+                               if j in data.pos})
 
 
 def class_matrix(c: CellComplex, chains: Sequence[Chain1]) -> IntegerMatrix:

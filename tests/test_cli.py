@@ -191,3 +191,43 @@ def test_gauge_check_notes_missing_generator_fluxes(capsys, tmp_path):
     report = json.loads(out)
     assert "generator_fluxes" not in report
     assert "sufficiently subdivided" in report["notice"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"spectators": [True], "from": 1, "to": 2, "value": "1/3"},
+    {"spectators": [0], "from": 1.7, "to": 2, "value": "1/3"},
+    {"spectators": [0], "from": 2, "to": "3", "value": "1/3"}])
+def test_gauge_potential_non_integer_vertex_is_input_error(capsys, lasso_file,
+                                                           tmp_path, entry):
+    pot = tmp_path / "pot.json"
+    pot.write_text(json.dumps([entry]))
+    code = main(["gauge", "split", lasso_file, "--potential", str(pot)])
+    assert code == EXIT_INPUT
+    assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("spectators", [True]), ("from", 1.7), ("to", "1"), ("coeff", 1.5),
+    ("coeff", True)])
+def test_gauge_targets_non_integer_is_input_error(capsys, lasso_file, tmp_path,
+                                                  field, bad):
+    cycle = [{"spectators": [0], "from": 1, "to": 2},
+             {"spectators": [0], "from": 2, "to": 3},
+             {"spectators": [0], "from": 3, "to": 1}]
+    cycle[0][field] = bad
+    targets = tmp_path / "targets.json"
+    targets.write_text(json.dumps([{"cycle": cycle, "value": "1/2"}]))
+    code = main(["gauge", "solve", lasso_file, "--targets", str(targets)])
+    assert code == EXIT_INPUT
+    assert "integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["1.7,2", "true,2", "1,2,3", "1"])
+def test_gauge_lift_bad_edge_is_input_error(capsys, lasso_file, tmp_path,
+                                            edge):
+    pot = tmp_path / "pot.json"
+    pot.write_text("[]")
+    code = main(["gauge", "lift", lasso_file, "--potential", str(pot),
+                 "--edge", edge])
+    assert code == EXIT_INPUT
+    assert "--edge" in capsys.readouterr().err

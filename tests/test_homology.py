@@ -1,5 +1,6 @@
 """Integer Smith normal form and H1 of configuration complexes."""
 import hashlib
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +9,10 @@ from confighom.complexes import build_complex, cell1
 from confighom.graphs import (complete_bipartite, complete_graph, cycle_graph,
                               lasso_graph, prism_graph, star_graph,
                               sufficiently_subdivide, wheel_graph)
-from confighom.homology import (AbelianGroup, IntegerMatrix, _Eliminator,
-                                _h1_data, class_matrix, h0, h1, is_cycle,
-                                homology_coordinates, matmul, nontree_classes,
-                                smith_normal_form)
+from confighom.homology import (AbelianGroup, IntegerMatrix, _class_table,
+                                _Eliminator, _h1_data, class_matrix, h0, h1,
+                                homology_coordinates, is_cycle, matmul,
+                                nontree_classes, smith_normal_form)
 from confighom.spanning import spanning_set
 
 
@@ -158,3 +159,89 @@ def test_pivot_order_is_pinned():
     # order, so that the operation logs, the transforms and every coordinate
     # built on them stay byte-identical
     assert _pivot_order_digest() == PIVOT_ORDER_DIGEST
+
+
+def _forward_replay(ops, x):
+    """The coordinate map before the class table: apply every logged row
+    operation, in order, to one vector."""
+    for op in ops:
+        if op[0] == "add":
+            _, i, j, m = op
+            x[i] = x.get(i, 0) + m * x.get(j, 0)
+        else:
+            x[op[1]] = -x.get(op[1], 0)
+    return x
+
+
+def _replay_coordinates(c):
+    """Coordinates of vectors over the non-forest rows by forward replay of
+    a fresh logged reduction of the same matrix."""
+    data = _h1_data(c)
+    entries = [(data.pos[r], col, v) for r, col, v in c.boundary2
+               if r in data.pos]
+    elim = _Eliminator(len(data.nontree), len(c.cells2), entries, log=True)
+    elim.reduce()
+    pivot_rows = {r for r, _, _ in elim.pivots}
+    free_rows = sorted(set(range(len(data.nontree))) - pivot_rows)
+    torsion = sorted([(r, d) for r, _, d in elim.pivots if d > 1],
+                     key=lambda p: p[1])
+
+    def coords(x):
+        y = _forward_replay(elim.row_ops, dict(x))
+        return (tuple(y.get(r, 0) for r in free_rows),
+                tuple(y.get(r, 0) % d for r, d in torsion))
+    return data, coords
+
+
+def test_class_table_matches_forward_replay():
+    # one backward pass over the log must give every coordinate the forward
+    # replay gives, torsion included (K5 at n=2 gets its Z_2 from the dense
+    # phase)
+    rng = random.Random(11)
+    for g, n in ((complete_graph(5), 3), (prism_graph(), 3),
+                 (complete_bipartite(3, 3), 2), (complete_graph(5), 2)):
+        gs = sufficiently_subdivide(g, n)[0]
+        c = build_complex(gs, n)
+        data, coords = _replay_coordinates(c)
+        classes = nontree_classes(c)
+        assert len(classes) == len(data.nontree)
+        for j in data.nontree:
+            cls = classes[c.cells1[j]]
+            assert (cls.free, cls.torsion) == coords({data.pos[j]: 1})
+        chains = [cyc.chain for cyc in spanning_set(gs, n)]
+        for _ in range(10):
+            z = {}
+            for chain in rng.sample(chains, 3):
+                m = rng.randint(-3, 3)
+                for cell, v in chain.items():
+                    z[cell] = z.get(cell, 0) + m * v
+            chains.append({cell: v for cell, v in z.items() if v})
+        for z in chains:
+            got = homology_coordinates(c, z)
+            x = {data.pos[c.index1[cell]]: v for cell, v in z.items()
+                 if c.index1[cell] in data.pos}
+            assert (got.free, got.torsion) == coords(x)
+            assert got.moduli == data.torsion
+
+
+def test_class_table_on_random_logs():
+    # every stored entry is the forward replay's value, torsion slots reduced
+    # to [0, d): the gauge layer pairs these representatives with phases
+    rng = random.Random(5)
+    for _ in range(200):
+        size = rng.randint(1, 6)
+        ops = []
+        for _ in range(rng.randint(0, 12)):
+            i, j = rng.sample(range(size + 1), 2)
+            ops.append(("add", i, j, rng.randint(-7, 7)) if rng.random() < 0.8
+                       else ("neg", i))
+        sel = rng.sample(range(size + 1), rng.randint(1, size + 1))
+        rank = rng.randint(0, len(sel))
+        moduli = tuple(rng.randint(2, 6) for _ in range(len(sel) - rank))
+        table = _class_table(ops, sel, rank, moduli)
+        for r in range(size + 1):
+            y = _forward_replay(ops, {r: 1})
+            want = {s: y.get(row, 0) for s, row in enumerate(sel)}
+            for s, d in enumerate(moduli, rank):
+                want[s] %= d
+            assert table.get(r, {}) == {s: v for s, v in want.items() if v}
